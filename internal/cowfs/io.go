@@ -109,8 +109,13 @@ func findExtent(exts []Extent, idx int64) (Extent, bool) {
 // Fibmap translates a file page to its device block, like the FIBMAP
 // ioctl (§4.2). ok is false for holes.
 func (fs *FS) Fibmap(ino Ino, idx int64) (int64, bool) {
-	i, exists := fs.inodes[ino]
-	if !exists || i.Dir {
+	return fs.inodes[ino].fibmap(idx)
+}
+
+// fibmap is Fibmap on an inode already looked up; a nil inode (deleted)
+// or a directory maps nothing.
+func (i *Inode) fibmap(idx int64) (int64, bool) {
+	if i == nil || i.Dir {
 		return 0, false
 	}
 	e, ok := findExtent(i.Extents, idx)
@@ -302,7 +307,7 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 			key := fs.pageKey(ino, idx)
 			pg, cached := fs.cache.Lookup(key)
 			if !cached {
-				pg = fs.cache.Insert(p, key, ver)
+				pg = fs.cache.InsertNew(p, key, ver)
 			}
 			fs.cache.MarkDirty(pg, ver)
 		}
@@ -353,18 +358,21 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 	// block is expected to verify against — then coalesce into physically
 	// contiguous device reads. The staging buffer comes from a pool: the
 	// process blocks on the device below, so other readers can be staging
-	// concurrently in virtual time.
+	// concurrently in virtual time. Pages are mapped through i directly;
+	// it is looked up again after every call that can block, since the
+	// file may be deleted meanwhile.
 	mb := fs.getMissBuf()
 	defer fs.putMissBuf(mb)
 	misses := mb.m
 	for idx := off; idx < off+n; idx++ {
-		if fs.cache.Contains(fs.pageKey(ino, idx)) {
-			fs.cache.Lookup(fs.pageKey(ino, idx)) // LRU touch + hit accounting
+		key := fs.pageKey(ino, idx)
+		if fs.cache.Hit(key) {
 			continue
 		}
-		b, mapped := fs.Fibmap(ino, idx)
+		b, mapped := i.fibmap(idx)
 		if !mapped {
-			fs.cache.Insert(p, fs.pageKey(ino, idx), 0) // hole: zero page
+			fs.cache.InsertNew(p, key, 0) // hole: zero page
+			i = fs.inodes[ino]
 			continue
 		}
 		misses = append(misses, miss{idx: idx, block: b, wantCsum: fs.csums[b]})
@@ -385,15 +393,17 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 		}
 		// Revalidate after the I/O: the file may have been deleted or
 		// copy-on-written while this process was blocked on the device.
-		if _, alive := fs.inodes[ino]; !alive {
+		i = fs.inodes[ino]
+		if i == nil {
 			return missed, fmt.Errorf("%w: inode %d (deleted during read)", ErrNotFound, ino)
 		}
 		for k := 0; k < count; k++ {
 			m := misses[s+k]
-			if cur, mapped := fs.Fibmap(ino, m.idx); !mapped || cur != m.block {
+			if cur, mapped := i.fibmap(m.idx); !mapped || cur != m.block {
 				continue // remapped mid-read: the new data is (or will be) in cache
 			}
-			if fs.cache.Contains(fs.pageKey(ino, m.idx)) {
+			key := fs.pageKey(ino, m.idx)
+			if fs.cache.Contains(key) {
 				continue // a concurrent write cached a newer copy
 			}
 			if fs.csums[m.block] != m.wantCsum {
@@ -404,7 +414,8 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 				fs.stats.Corruptions++
 				return missed, fmt.Errorf("%w: inode %d page %d block %d", ErrCorruption, ino, m.idx, m.block)
 			}
-			fs.cache.Insert(p, fs.pageKey(ino, m.idx), ver)
+			fs.cache.InsertNew(p, key, ver)
+			i = fs.inodes[ino]
 		}
 		s = e
 	}

@@ -185,7 +185,7 @@ func (fs *FS) DefragFile(p *sim.Proc, ino Ino, class storage.Class, owner string
 			key := fs.pageKey(ino, idx)
 			pg, cached := fs.cache.Lookup(key)
 			if !cached {
-				pg = fs.cache.Insert(p, key, ver)
+				pg = fs.cache.InsertNew(p, key, ver)
 			}
 			fs.cache.MarkDirty(pg, ver)
 		}

@@ -257,7 +257,7 @@ func (g *GC) clean(p *sim.Proc, si int, urgent bool) {
 		key := fs.pageKey(m.ino, m.idx)
 		pg, cached := fs.cache.Lookup(key)
 		if !cached {
-			pg = fs.cache.Insert(p, key, i.vers[m.idx])
+			pg = fs.cache.InsertNew(p, key, i.vers[m.idx])
 		}
 		fs.cache.MarkDirty(pg, i.vers[m.idx])
 		rec.BlocksMoved++

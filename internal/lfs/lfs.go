@@ -412,7 +412,7 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 		key := fs.pageKey(ino, idx)
 		pg, cached := fs.cache.Lookup(key)
 		if !cached {
-			pg = fs.cache.Insert(p, key, i.vers[idx])
+			pg = fs.cache.InsertNew(p, key, i.vers[idx])
 		}
 		fs.cache.MarkDirty(pg, i.vers[idx])
 	}
@@ -447,13 +447,12 @@ func (fs *FS) Read(p *sim.Proc, ino Ino, off, n int64, class storage.Class, owne
 	misses := mb.m
 	for idx := off; idx < off+n; idx++ {
 		key := fs.pageKey(ino, idx)
-		if fs.cache.Contains(key) {
-			fs.cache.Lookup(key)
+		if fs.cache.Hit(key) {
 			continue
 		}
 		b := i.blocks[idx]
 		if b == NoBlock {
-			fs.cache.Insert(p, key, 0)
+			fs.cache.InsertNew(p, key, 0)
 			continue
 		}
 		misses = append(misses, miss{idx, b})

@@ -77,6 +77,41 @@ func BenchmarkInsertSequential(b *testing.B) {
 	})
 }
 
+// fillDirtyTail fills a cache of capacity pages of file 1 so that its
+// dirtyTail coldest pages are dirty and the rest clean, and returns the
+// next free page index. Clean inserts then evict the clean page just
+// above the dirty run, which reclaim's scan must get past every time.
+// The dirty pages stay below the flusher's background threshold, and
+// the engine's clock does not move, so nothing cleans them.
+func fillDirtyTail(p *sim.Proc, c *Cache, capacity, dirtyTail int) uint64 {
+	next := uint64(0)
+	for ; next < uint64(capacity); next++ {
+		pg := c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next}, 1)
+		if next < uint64(dirtyTail) {
+			c.MarkDirty(pg, 2)
+		}
+	}
+	return next
+}
+
+// BenchmarkEvictDirtyTail measures eviction with ~100 dirty pages
+// parked at the LRU tail: the case the dirty tail run makes O(1).
+func BenchmarkEvictDirtyTail(b *testing.B) {
+	c, e := benchCache(1024)
+	run(b, e, func(p *sim.Proc) {
+		next := fillDirtyTail(p, c, 1024, 100)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next}, 1)
+			next++
+		}
+	})
+	if n := c.DirtyLen(); n != 100 {
+		b.Fatalf("%d dirty pages at the end, want the 100 parked", n)
+	}
+}
+
 // BenchmarkLookupHit measures the promote-on-hit path.
 func BenchmarkLookupHit(b *testing.B) {
 	c, e := benchCache(1024)
@@ -187,25 +222,37 @@ func TestHotPathAllocFree(t *testing.T) {
 
 // TestEvictionAllocFree asserts that steady-state eviction (insert into
 // a full cache, clean victim) does not allocate either: the evicted
-// page's struct must be recycled into the one being inserted.
+// page's struct must be recycled into the one being inserted. The
+// dirty-tail case holds 100 dirty pages at the LRU tail, so reclaim
+// works through the dirty tail run.
 func TestEvictionAllocFree(t *testing.T) {
-	c, e := benchCache(1024)
-	var avg float64
-	e.Go("alloc-test", func(p *sim.Proc) {
-		defer e.Stop()
-		next := uint64(0)
-		for ; next < 2048; next++ {
-			c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next}, 1)
-		}
-		avg = testing.AllocsPerRun(200, func() {
-			c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next}, 1)
-			next++
+	for _, tc := range []struct {
+		name      string
+		dirtyTail int
+	}{{"clean", 0}, {"dirty-tail", 100}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, e := benchCache(1024)
+			var avg float64
+			e.Go("alloc-test", func(p *sim.Proc) {
+				defer e.Stop()
+				next := fillDirtyTail(p, c, 1024, tc.dirtyTail)
+				for end := next + 1024; next < end; next++ {
+					c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next}, 1)
+				}
+				avg = testing.AllocsPerRun(200, func() {
+					c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next}, 1)
+					next++
+				})
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if avg != 0 {
+				t.Errorf("eviction path allocates %.1f allocs/op, want 0", avg)
+			}
+			if n := c.DirtyLen(); n != tc.dirtyTail {
+				t.Errorf("%d dirty pages at the end, want the %d parked", n, tc.dirtyTail)
+			}
 		})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if avg != 0 {
-		t.Errorf("eviction path allocates %.1f allocs/op, want 0", avg)
 	}
 }

@@ -75,7 +75,8 @@ func (t *pageTab) put(k PageKey, v *Page) {
 	}
 }
 
-func (t *pageTab) del(k PageKey) {
+// delIf deletes k if it maps to v, on the probe that finds it.
+func (t *pageTab) delIf(k PageKey, v *Page) {
 	if t.n == 0 {
 		return
 	}
@@ -89,6 +90,9 @@ func (t *pageTab) del(k PageKey) {
 			break
 		}
 		i = (i + 1) & mask
+	}
+	if t.vals[i] != v {
+		return
 	}
 	// Backward-shift deletion keeps probe chains intact without
 	// tombstones: each later entry of the cluster is pulled into the

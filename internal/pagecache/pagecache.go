@@ -135,6 +135,10 @@ type Page struct {
 	// data is preserved until Requeue (after repair/remap) or until
 	// reclaim is forced to drop it, which is counted in Stats.LostPages.
 	quarantined bool
+
+	// inRun marks the page as part of the cache's known dirty tail run
+	// (see Cache.runLen).
+	inRun bool
 }
 
 // Quarantined reports whether the page is held out of writeback after a
@@ -223,6 +227,7 @@ type Stats struct {
 	EventsDispatched int64
 	EventsFiltered   int64 // events skipped by the hook interest mask
 	AdvisorDeferrals int64 // reclaim scans that passed over advised pages
+	VictimScanSteps  int64 // LRU pages the reclaim scan visited
 
 	// Writeback failure accounting (nonzero only when the backing device
 	// fails requests; see internal/faults).
@@ -303,6 +308,14 @@ type Cache struct {
 	stats    Stats
 
 	lruHead, lruTail *Page // lruHead = most recently used
+
+	// The dirty tail run: the runLen coldest LRU pages are all dirty and
+	// carry inRun; runHead is the warmest of them (nil when runLen is 0).
+	// pickVictim resumes its scan above the run instead of re-walking it,
+	// and any change that could break the run (a run page leaving the
+	// LRU or turning clean) resets it. See DESIGN.md.
+	runLen  int
+	runHead *Page
 
 	// quar lists quarantined pages in insertion order (bounded by the
 	// cache capacity; scanned only on quarantine-state changes).
@@ -445,6 +458,9 @@ func (c *Cache) lruPushFront(pg *Page) {
 }
 
 func (c *Cache) lruRemove(pg *Page) {
+	if pg.inRun {
+		c.resetRun()
+	}
 	if pg.lruPrev != nil {
 		pg.lruPrev.lruNext = pg.lruNext
 	} else {
@@ -456,6 +472,16 @@ func (c *Cache) lruRemove(pg *Page) {
 		c.lruTail = pg.lruPrev
 	}
 	pg.lruPrev, pg.lruNext = nil, nil
+}
+
+// resetRun forgets the dirty tail run. It walks exactly the pages whose
+// scan built the run, so its cost is paid for by that scan.
+func (c *Cache) resetRun() {
+	for pg := c.lruTail; c.runLen > 0; c.runLen-- {
+		pg.inRun = false
+		pg = pg.lruPrev
+	}
+	c.runHead = nil
 }
 
 func (c *Cache) lruMoveToFront(pg *Page) {
@@ -574,6 +600,18 @@ func (c *Cache) Lookup(key PageKey) (*Page, bool) {
 	return pg, true
 }
 
+// Hit reports whether the page is cached. A cached page is promoted in
+// the LRU and counted as a hit, on the same table probe. Unlike Lookup,
+// Hit does not count a miss in Stats.Misses.
+func (c *Cache) Hit(key PageKey) bool {
+	pg, ok := c.pages.get(key)
+	if ok {
+		c.stats.Hits++
+		c.lruMoveToFront(pg)
+	}
+	return ok
+}
+
 // Peek returns the page if cached without perturbing the LRU or stats.
 func (c *Cache) Peek(key PageKey) (*Page, bool) {
 	return c.pages.get(key)
@@ -594,6 +632,12 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 		c.lruMoveToFront(pg)
 		return pg
 	}
+	return c.InsertNew(p, key, version)
+}
+
+// InsertNew is Insert for a key the caller has just found absent, with
+// no blocking call since: it skips Insert's table probe.
+func (c *Cache) InsertNew(p *sim.Proc, key PageKey, version uint64) *Page {
 	c.makeRoom(p)
 	pg := c.arena.alloc()
 	pg.Key = key
@@ -659,12 +703,28 @@ func (c *Cache) makeRoom(p *sim.Proc) {
 // scan window, the coldest of them is evicted anyway (advice defers, it
 // does not pin — pinning would recreate the memory-pressure problems the
 // paper avoids, §3.1).
+//
+// The scan starts above the dirty tail run, whose pages it would only
+// skip, and counts them toward the window; the dirty pages it passes
+// before meeting any clean page join the run.
 func (c *Cache) pickVictim() *Page {
 	const scanLimit = 128
 	var fallback *Page
-	pg := c.lruTail
-	for i := 0; pg != nil && i < scanLimit; i++ {
-		if !pg.Dirty {
+	i, pg := c.runLen, c.lruTail
+	if c.runHead != nil {
+		pg = c.runHead.lruPrev
+	}
+	extend := true
+	for ; pg != nil && i < scanLimit; i++ {
+		c.stats.VictimScanSteps++
+		if pg.Dirty {
+			if extend {
+				pg.inRun = true
+				c.runLen++
+				c.runHead = pg
+			}
+		} else {
+			extend = false
 			if c.advisor == nil || !c.advisor.KeepPage(pg) {
 				return pg
 			}
@@ -713,9 +773,7 @@ func (c *Cache) writebackOne(p *sim.Proc, pg *Page) {
 // race, the fresh page is left fully intact (the map delete is guarded),
 // so a raced double-eviction can never orphan a live page.
 func (c *Cache) removePage(pg *Page, ev EventType) {
-	if cur, ok := c.pages.get(pg.Key); ok && cur == pg {
-		c.pages.del(pg.Key)
-	}
+	c.pages.delIf(pg.Key, pg)
 	if pg.resident {
 		c.lruRemove(pg)
 		if pg.quarantined {
@@ -758,6 +816,9 @@ func (c *Cache) markCleanIf(key PageKey, version uint64) {
 	pg, ok := c.pages.get(key)
 	if !ok || !pg.Dirty || pg.quarantined || pg.Version != version {
 		return
+	}
+	if pg.inRun {
+		c.resetRun()
 	}
 	pg.Dirty = false
 	c.dirty.Delete(key)
@@ -1011,12 +1072,11 @@ func (c *Cache) QuarantinedLen() int { return len(c.quar) }
 // the machine whose hooks cared about these pages is the one that just
 // died. Returns the number of pages dropped.
 func (c *Cache) DropVolatile() int {
+	c.resetRun()
 	n := 0
 	for pg := c.lruHead; pg != nil; n++ {
 		next := pg.lruNext
-		if cur, ok := c.pages.get(pg.Key); ok && cur == pg {
-			c.pages.del(pg.Key)
-		}
+		c.pages.delIf(pg.Key, pg)
 		if pg.Dirty {
 			c.dirty.Delete(pg.Key)
 			pg.Dirty = false

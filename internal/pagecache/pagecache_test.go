@@ -1,10 +1,13 @@
 package pagecache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"duet/internal/sim"
+	"duet/internal/storage"
 )
 
 // recordingHook collects events for assertions.
@@ -649,4 +652,294 @@ func TestEvictionRaceReinsert(t *testing.T) {
 	if !seen {
 		t.Error("re-inserted page missing from the per-file index")
 	}
+}
+
+// refPickVictim is the reclaim scan without the dirty tail run: a walk
+// of up to 128 pages up from the LRU tail for the first clean, unadvised
+// page, else the coldest clean advised one. It is the oracle pickVictim
+// must agree with. It changes nothing and returns the number of pages it
+// visited.
+func refPickVictim(c *Cache) (*Page, int) {
+	const scanLimit = 128
+	var fallback *Page
+	pg := c.lruTail
+	i := 0
+	for ; pg != nil && i < scanLimit; i++ {
+		if !pg.Dirty {
+			if c.advisor == nil || !c.advisor.KeepPage(pg) {
+				return pg, i + 1
+			}
+			if fallback == nil {
+				fallback = pg
+			}
+		}
+		pg = pg.lruPrev
+	}
+	return fallback, i
+}
+
+// checkTailRun verifies the tail-run invariant: exactly the runLen
+// coldest pages carry inRun, all of them are dirty, and runHead is the
+// warmest of them.
+func checkTailRun(c *Cache) error {
+	if c.runLen < 0 || c.runLen > 128 {
+		return fmt.Errorf("runLen = %d", c.runLen)
+	}
+	var head *Page
+	k := 0
+	for pg := c.lruTail; pg != nil; pg = pg.lruPrev {
+		switch {
+		case k < c.runLen && !pg.inRun:
+			return fmt.Errorf("run page %d from the tail (%v) has no inRun", k, pg.Key)
+		case k < c.runLen && !pg.Dirty:
+			return fmt.Errorf("run page %d from the tail (%v) is clean", k, pg.Key)
+		case k >= c.runLen && pg.inRun:
+			return fmt.Errorf("page %d from the tail (%v) has inRun, runLen %d", k, pg.Key, c.runLen)
+		}
+		if k == c.runLen-1 {
+			head = pg
+		}
+		k++
+	}
+	if k < c.runLen {
+		return fmt.Errorf("runLen %d exceeds the LRU's %d pages", c.runLen, k)
+	}
+	if c.runHead != head {
+		return fmt.Errorf("runHead = %p, want the run's warmest page %p", c.runHead, head)
+	}
+	return nil
+}
+
+// checkVictim compares pickVictim with the oracle on the current state.
+// pickVictim's only side effects are extending the run and its
+// counters; the counters are restored so they keep counting real
+// reclaim.
+func checkVictim(c *Cache) error {
+	want, refSteps := refPickVictim(c)
+	st, run0 := c.stats, c.runLen
+	got := c.pickVictim()
+	steps := c.stats.VictimScanSteps - st.VictimScanSteps
+	c.stats = st
+	if got != want {
+		return fmt.Errorf("pickVictim = %p, oracle %p", got, want)
+	}
+	if int(steps) != refSteps-run0 {
+		return fmt.Errorf("pickVictim visited %d pages, oracle %d less a run of %d", steps, refSteps, run0)
+	}
+	return nil
+}
+
+// modelBackend writes back after a delay, so callers block and other
+// processes run meanwhile; a share of calls fails with a permanent write
+// fault, quarantining the pages.
+type modelBackend struct {
+	rng   *rand.Rand
+	delay sim.Time
+}
+
+func (b *modelBackend) WritebackPages(p *sim.Proc, ino uint64, indices []uint64) (int, error) {
+	p.Sleep(b.delay)
+	if b.rng.Intn(20) == 0 {
+		n := b.rng.Intn(len(indices) + 1)
+		return n, storage.ErrWriteFault
+	}
+	return len(indices), nil
+}
+
+// victimHook checks each eviction the model predicted: the first page
+// removed after expect is set must be expect itself.
+type victimHook struct {
+	expect *Page
+	err    error
+}
+
+func (h *victimHook) PageEvent(ev EventType, pg *Page) {
+	if ev != EventRemoved || h.expect == nil {
+		return
+	}
+	if pg != h.expect && h.err == nil {
+		h.err = fmt.Errorf("evicted %v, oracle picked %v", pg.Key, h.expect.Key)
+	}
+	h.expect = nil
+}
+
+// TestTailRunMatchesLinearScan is the model-based equivalence test for
+// the dirty tail run. Seeded random operation sequences, from three
+// processes that interleave while writebacks block, cover every way a
+// page enters, leaves, dirties or cleans: inserts (probing and not),
+// lookups and hits, dirtying, writeback completions, removal of pages
+// and files, syncs, dirty-forced evictions, quarantine and requeue,
+// DropVolatile, and an advisor switched on and off. Before every
+// eviction a test insert causes without blocking, the oracle's choice
+// is checked against the page actually evicted; the oracle also checks
+// pickVictim directly on a share of the states reached, and the run
+// invariant is checked after every operation.
+//
+// The capacities put the whole LRU inside the 128-page scan window or
+// well beyond it. Each must see dirty-forced evictions, and the larger
+// ones a run that fills the window, or the test proves too little.
+func TestTailRunMatchesLinearScan(t *testing.T) {
+	forced, longest := map[int]int64{}, map[int]int{}
+	for seed := int64(1); seed <= 24; seed++ {
+		capacity := []int{6, 40, 160, 300}[seed%4]
+		t.Run(fmt.Sprintf("seed%d-cap%d", seed, capacity), func(t *testing.T) {
+			st, maxRun := runTailRunModel(t, seed, capacity, 2000+40*capacity)
+			forced[capacity] += st.DirtyEvictions
+			longest[capacity] = max(longest[capacity], maxRun)
+		})
+	}
+	for capacity, n := range forced {
+		if n == 0 {
+			t.Errorf("capacity %d: no dirty-forced evictions", capacity)
+		}
+		if want := min(capacity, 128); longest[capacity] < want {
+			t.Errorf("capacity %d: longest tail run %d, want %d", capacity, longest[capacity], want)
+		}
+	}
+}
+
+// runTailRunModel drives one seeded model run and returns the cache's
+// stats and the longest tail run it saw.
+func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats, int) {
+	rng := rand.New(rand.NewSource(seed))
+	e := sim.New(seed)
+	cfg := DefaultConfig(capacity)
+	cfg.DirtyBackgroundRatio = 0.8 + 0.4*rng.Float64() // let dirty pages pile up
+	c := New(e, cfg)
+	c.RegisterFS(1, &modelBackend{rng: rng, delay: sim.Time(1+rng.Intn(3)) * sim.Millisecond})
+	vh := &victimHook{}
+	c.AddHook(vh)
+	const files = 6
+	span := capacity/3 + 2 // pages per file: the key space is ~2x capacity
+	randKey := func() PageKey { return key(uint64(rng.Intn(files)), uint64(rng.Intn(span))) }
+	var failure error
+	fail := func(op string, err error) {
+		if err != nil && failure == nil {
+			failure = fmt.Errorf("seed %d after %s: %w", seed, op, err)
+		}
+	}
+	// insert adds k, dirtying it in a write-heavy phase so dirty pages
+	// reach the LRU tail in runs and force dirty evictions.
+	insert := func(p *sim.Proc, k PageKey, fresh, write bool) {
+		if c.Len() >= capacity {
+			if rng.Intn(2) == 0 {
+				fail("pre-eviction check", checkVictim(c))
+			}
+			vh.expect, _ = refPickVictim(c)
+		}
+		var pg *Page
+		if fresh {
+			pg = c.InsertNew(p, k, 1)
+		} else {
+			pg = c.Insert(p, k, 1)
+		}
+		vh.expect = nil // an insert of a resident key evicts nothing
+		if write && pg.resident {
+			c.MarkDirty(pg, pg.Version+1)
+		}
+	}
+	maxRun := 0
+	write := false // a shared phase, so dirty runs reach the tail
+	procs := 3
+	for w := 0; w < procs; w++ {
+		e.Go(fmt.Sprintf("model%d", w), func(p *sim.Proc) {
+			defer func() { procs-- }()
+			for n := 0; n < opsPerProc && failure == nil; n++ {
+				if rng.Intn(2000) == 0 {
+					write = !write
+				}
+				op := rng.Intn(100)
+				if write && op >= 79 && op < 86 {
+					op = 0 // no cleaning in a write burst: an insert instead
+				}
+				var name string
+				switch {
+				case op < 35:
+					name = "Insert"
+					insert(p, randKey(), false, write)
+				case op < 45:
+					name = "InsertNew"
+					if k := randKey(); !c.Contains(k) {
+						insert(p, k, true, write)
+					}
+				case op < 52:
+					name = "Lookup"
+					c.Lookup(randKey())
+				case op < 59:
+					name = "Hit"
+					c.Hit(randKey())
+				case op < 79:
+					name = "MarkDirty"
+					if pg, ok := c.Peek(randKey()); ok {
+						c.MarkDirty(pg, pg.Version+1)
+					}
+				case op < 83:
+					name = "markCleanIf"
+					if pg, ok := c.Peek(randKey()); ok {
+						c.markCleanIf(pg.Key, pg.Version)
+					}
+				case op < 85:
+					name = "SyncFile"
+					if rng.Intn(2) == 0 {
+						_ = c.SyncFile(p, 1, uint64(rng.Intn(files)))
+					}
+				case op < 86:
+					name = "Sync"
+					if rng.Intn(2) == 0 {
+						c.Sync(p)
+					}
+				case op < 90:
+					name = "Remove"
+					c.Remove(randKey())
+				case op < 91:
+					name = "RemoveFile"
+					if rng.Intn(3) == 0 {
+						c.RemoveFile(1, uint64(rng.Intn(files)))
+					}
+				case op < 93:
+					name = "Requeue"
+					if q := c.Quarantined(nil); len(q) > 0 {
+						c.Requeue(q[rng.Intn(len(q))])
+					}
+				case op < 95:
+					name = "SetAdvisor"
+					if c.advisor == nil {
+						c.SetAdvisor(keepOdd{})
+					} else {
+						c.SetAdvisor(nil)
+					}
+				case op < 96:
+					name = "DropVolatile"
+					if rng.Intn(10) == 0 {
+						c.DropVolatile()
+					}
+				default:
+					name = "Sleep"
+					p.Sleep(sim.Time(rng.Intn(500)) * sim.Millisecond)
+				}
+				maxRun = max(maxRun, c.runLen)
+				fail(name, vh.err)
+				fail(name, checkTailRun(c))
+				if rng.Intn(4) == 0 {
+					fail(name, checkVictim(c))
+				}
+			}
+		})
+	}
+	e.Go("stopper", func(p *sim.Proc) {
+		for failure == nil && procs > 0 {
+			p.Sleep(sim.Second)
+		}
+		e.Stop()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	if c.stats.Evictions == 0 {
+		t.Error("the model evicted nothing")
+	}
+	return c.stats, maxRun
 }
