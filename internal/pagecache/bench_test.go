@@ -32,10 +32,10 @@ func run(b *testing.B, e *sim.Engine, fn func(p *sim.Proc)) {
 }
 
 // BenchmarkInsertLookupDirtyFlush cycles a page through the full hot
-// path: insert, lookup (LRU promotion), dirty (rbtree insert), sync
-// (writeback + flush event), remove. Steady state must not allocate:
-// pages recycle through the arena, dirty-tree nodes through the rbtree
-// free list, and writeback staging through the batch pool.
+// path: insert, lookup (LRU promotion), dirty (into its file's dirty
+// count), sync (writeback + flush event), remove. Steady state must not
+// allocate: pages recycle through the arena, file lists through their
+// pool, and writeback staging through the batch pool.
 func BenchmarkInsertLookupDirtyFlush(b *testing.B) {
 	c, e := benchCache(4096)
 	run(b, e, func(p *sim.Proc) {
@@ -112,6 +112,51 @@ func BenchmarkEvictDirtyTail(b *testing.B) {
 	}
 }
 
+// flushSetup caches 8 files of 32 pages, inserted file by file in
+// non-key order and each back to front, and returns a pass that dirties
+// every other page of each file, again in non-key order, and flushes
+// them all: the flush sorts 8 dirty files and walks their lists past a
+// clean page between each two dirty ones.
+func flushSetup(p *sim.Proc, c *Cache) (flush func()) {
+	const files, pages = 8, 32
+	ino := func(i int) uint64 { return uint64(i * 5 % files) } // 0 5 2 7 4 1 6 3
+	for i := 0; i < files; i++ {
+		for j := pages - 1; j >= 0; j-- {
+			c.Insert(p, PageKey{FS: 1, Ino: ino(i), Index: uint64(j)}, 1)
+		}
+	}
+	return func() {
+		for i := 0; i < files; i++ {
+			for j := 0; j < pages; j += 2 {
+				pg, _ := c.Peek(PageKey{FS: 1, Ino: ino(i), Index: uint64(j)})
+				c.MarkDirty(pg, pg.Version+1)
+			}
+		}
+		c.Sync(p)
+	}
+}
+
+// BenchmarkFlushExpired measures a flush pass over several dirty files
+// (see flushSetup). Steady state must not allocate: the dirty files are
+// sorted in a pooled batch buffer.
+func BenchmarkFlushExpired(b *testing.B) {
+	c, e := benchCache(4096)
+	run(b, e, func(p *sim.Proc) {
+		flush := flushSetup(p, c)
+		for i := 0; i < 8; i++ {
+			flush()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			flush()
+		}
+	})
+	if n := c.DirtyLen(); n != 0 {
+		b.Fatalf("%d dirty pages after the last flush", n)
+	}
+}
+
 // BenchmarkLookupHit measures the promote-on-hit path.
 func BenchmarkLookupHit(b *testing.B) {
 	c, e := benchCache(1024)
@@ -182,9 +227,10 @@ func BenchmarkEmitAllInterest(b *testing.B) {
 }
 
 // TestHotPathAllocFree asserts the steady-state allocation contract the
-// arena, rbtree free list, and batch pool exist to provide: zero
+// arena, file-list pool, and batch pool exist to provide: zero
 // allocations per insert/lookup/dirty/flush/remove cycle, with and
-// without an uninterested hook installed. CI runs this as a regression
+// without an uninterested hook installed, and per flush pass over
+// several dirty files (the flush subtest). CI runs this as a regression
 // gate (see .github/workflows/ci.yml).
 func TestHotPathAllocFree(t *testing.T) {
 	for _, tc := range []struct {
@@ -218,6 +264,33 @@ func TestHotPathAllocFree(t *testing.T) {
 			}
 		})
 	}
+	t.Run("flush", func(t *testing.T) {
+		c, e := benchCache(4096)
+		var avg float64
+		var before, after Stats
+		e.Go("alloc-test", func(p *sim.Proc) {
+			defer e.Stop()
+			flush := flushSetup(p, c)
+			for i := 0; i < 8; i++ {
+				flush()
+			}
+			avg = testing.AllocsPerRun(200, flush)
+			before = *c.Stats()
+			flush()
+			after = *c.Stats()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if avg != 0 {
+			t.Errorf("flush pass allocates %.1f allocs/op, want 0", avg)
+		}
+		// Each file's walk stops at its last dirty page, index 30.
+		steps, written := after.FlushScanSteps-before.FlushScanSteps, after.WritebackPages-before.WritebackPages
+		if steps != 8*31 || written != 8*16 {
+			t.Errorf("a pass walked %d pages and wrote %d, want %d and %d", steps, written, 8*31, 8*16)
+		}
+	})
 }
 
 // TestEvictionAllocFree asserts that steady-state eviction (insert into

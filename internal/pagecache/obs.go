@@ -70,11 +70,12 @@ func (c *Cache) PublishMetrics(r *obs.Registry) {
 	r.SetCounter("pagecache.events_filtered", s.EventsFiltered)
 	r.SetCounter("pagecache.advisor_deferrals", s.AdvisorDeferrals)
 	r.SetCounter("pagecache.victim_scan_steps", s.VictimScanSteps)
+	r.SetCounter("pagecache.flush_scan_steps", s.FlushScanSteps)
 	r.SetCounter("pagecache.writeback_errors", s.WritebackErrors)
 	r.SetCounter("pagecache.quarantine_events", s.QuarantineEvents)
 	r.SetCounter("pagecache.requeued_pages", s.RequeuedPages)
 	r.SetCounter("pagecache.lost_pages", s.LostPages)
 	r.Gauge("pagecache.resident_pages").SetMax(int64(c.pages.len()))
-	r.Gauge("pagecache.dirty_pages").SetMax(int64(c.dirty.Len()))
+	r.Gauge("pagecache.dirty_pages").SetMax(int64(c.dirtyLen))
 	r.Gauge("pagecache.quarantined_pages").SetMax(int64(len(c.quar)))
 }

@@ -25,11 +25,11 @@
 package pagecache
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
-	"duet/internal/rbtree"
 	"duet/internal/sim"
 	"duet/internal/storage"
 )
@@ -80,27 +80,17 @@ type PageKey struct {
 	Index uint64 // page index within the file
 }
 
-func keyLess(a, b PageKey) bool {
-	if a.FS != b.FS {
-		return a.FS < b.FS
-	}
-	if a.Ino != b.Ino {
-		return a.Ino < b.Ino
-	}
-	return a.Index < b.Index
-}
-
 // FileKey identifies a file within the machine.
 type FileKey struct {
 	FS  FSID
 	Ino uint64
 }
 
-func fileKeyLess(a, b FileKey) bool {
+func fileKeyCmp(a, b FileKey) int {
 	if a.FS != b.FS {
-		return a.FS < b.FS
+		return cmp.Compare(a.FS, b.FS)
 	}
-	return a.Ino < b.Ino
+	return cmp.Compare(a.Ino, b.Ino)
 }
 
 // Page is a cached page. Fields are read-only outside this package.
@@ -111,27 +101,33 @@ func fileKeyLess(a, b FileKey) bool {
 type Page struct {
 	Key     PageKey
 	Version uint64 // content stamp
-	Dirty   bool
 	DirtyAt sim.Time
 
 	// Intrusive links. lruPrev/lruNext thread the global LRU (front =
 	// most recently used); filePrev/fileNext thread the per-file index
 	// in ascending page-index order. fileNext doubles as the arena
-	// free-list link while the page is not resident.
+	// free-list link while the page is not resident. file is the list
+	// the page is linked into (nil while not resident).
 	lruPrev, lruNext   *Page
 	filePrev, fileNext *Page
+	file               *fileList
+
+	// pins and the flags after it share one word, keeping Page at 96
+	// bytes. pins counts in-flight references held across a blocking
+	// call (reclaim holding its eviction candidate); a pinned page is
+	// not recycled into the arena even after removal, so the holder's
+	// pointer stays frozen rather than aliasing a new page.
+	pins int32
+
+	Dirty bool
 
 	// resident is true while the page is linked into the LRU and its
-	// file's index. pins counts in-flight references held across a
-	// blocking call (reclaim holding its eviction candidate); a pinned
-	// page is not recycled into the arena even after removal, so the
-	// holder's pointer stays frozen rather than aliasing a new page.
+	// file's index.
 	resident bool
-	pins     int32
 
 	// quarantined marks a dirty page whose writeback failed permanently
 	// (storage.ErrWriteFault): it stays dirty but is withheld from the
-	// dirty tree, so the flusher stops hammering a dead destination. The
+	// dirty set, so the flusher stops hammering a dead destination. The
 	// data is preserved until Requeue (after repair/remap) or until
 	// reclaim is forced to drop it, which is counted in Stats.LostPages.
 	quarantined bool
@@ -139,6 +135,10 @@ type Page struct {
 	// inRun marks the page as part of the cache's known dirty tail run
 	// (see Cache.runLen).
 	inRun bool
+
+	// inDirty marks the page that holds its key's entry in the dirty
+	// set, the pages writeback stages (see Cache.dirtyAdd).
+	inDirty bool
 }
 
 // Quarantined reports whether the page is held out of writeback after a
@@ -228,6 +228,7 @@ type Stats struct {
 	EventsFiltered   int64 // events skipped by the hook interest mask
 	AdvisorDeferrals int64 // reclaim scans that passed over advised pages
 	VictimScanSteps  int64 // LRU pages the reclaim scan visited
+	FlushScanSteps   int64 // file-list pages the flush walk visited
 
 	// Writeback failure accounting (nonzero only when the backing device
 	// fails requests; see internal/faults).
@@ -275,9 +276,13 @@ func (a *pageArena) release(pg *Page) {
 
 // fileList is the per-file page index: an intrusive doubly-linked list
 // in ascending page-index order, threaded through Page.filePrev/fileNext.
+// dirty counts the list's pages that carry inDirty; while it is above
+// zero the list sits at Cache.dirtyFiles[dirtyPos].
 type fileList struct {
 	head, tail *Page
 	n          int
+	dirty      int
+	dirtyPos   int
 	nextFree   *fileList // pool link while unused
 }
 
@@ -299,7 +304,6 @@ type Cache struct {
 	eng      sim.Host
 	cfg      Config
 	pages    pageTab
-	dirty    *rbtree.Tree[PageKey, *Page]
 	files    fileTab
 	backends map[FSID]Backend
 	hooks    []Hook
@@ -316,6 +320,11 @@ type Cache struct {
 	// LRU or turning clean) resets it. See DESIGN.md.
 	runLen  int
 	runHead *Page
+
+	// The dirty set: the pages carrying inDirty, dirtyLen of them, on
+	// the file lists in dirtyFiles (unordered). See DESIGN.md.
+	dirtyFiles []*fileList
+	dirtyLen   int
 
 	// quar lists quarantined pages in insertion order (bounded by the
 	// cache capacity; scanned only on quarantine-state changes).
@@ -353,7 +362,6 @@ func New(e sim.Host, cfg Config) *Cache {
 	c := &Cache{
 		eng:      e,
 		cfg:      cfg,
-		dirty:    rbtree.New[PageKey, *Page](keyLess),
 		backends: make(map[FSID]Backend),
 	}
 	c.flusherKick = sim.NewWaitQueue(e)
@@ -375,7 +383,7 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 func (c *Cache) Len() int { return c.pages.len() }
 
 // DirtyLen returns the number of dirty pages.
-func (c *Cache) DirtyLen() int { return c.dirty.Len() }
+func (c *Cache) DirtyLen() int { return c.dirtyLen }
 
 // RegisterFS attaches the writeback backend for a filesystem.
 func (c *Cache) RegisterFS(fs FSID, b Backend) { c.backends[fs] = b }
@@ -512,6 +520,7 @@ func (c *Cache) fileInsert(pg *Page) {
 		fl = c.newFileList()
 		c.files.put(fk, fl)
 	}
+	pg.file = fl
 	fl.n++
 	at := fl.tail
 	for at != nil && at.Key.Index > pg.Key.Index {
@@ -542,11 +551,7 @@ func (c *Cache) fileInsert(pg *Page) {
 // fileRemove unlinks pg from its file's list, releasing the list when it
 // empties.
 func (c *Cache) fileRemove(pg *Page) {
-	fk := FileKey{pg.Key.FS, pg.Key.Ino}
-	fl := c.files.get(fk)
-	if fl == nil {
-		return
-	}
+	fl := pg.file
 	if pg.filePrev != nil {
 		pg.filePrev.fileNext = pg.fileNext
 	} else {
@@ -557,12 +562,77 @@ func (c *Cache) fileRemove(pg *Page) {
 	} else {
 		fl.tail = pg.filePrev
 	}
-	pg.filePrev, pg.fileNext = nil, nil
+	pg.filePrev, pg.fileNext, pg.file = nil, nil, nil
 	fl.n--
 	if fl.n == 0 {
-		c.files.del(fk)
+		c.files.del(FileKey{pg.Key.FS, pg.Key.Ino})
 		fl.nextFree = c.flFree
 		c.flFree = fl
+	}
+}
+
+// --- dirty set -------------------------------------------------------------
+
+// The dirty set keeps at most one entry per key: dirtyAdd moves the
+// key's entry to pg, and dirtyRemove drops the key's entry whichever page
+// holds it. The two differ from a flag on pg alone only while a blocked
+// insert has left duplicate pages of one key (see DESIGN.md), and there
+// the flag alone would change which pages writeback stages. Duplicates
+// sit next to each other in their file list, so dirtyHolder finds the
+// entry among pg's same-index neighbours.
+
+// dirtyHolder returns the page holding the entry for pg's key, or nil.
+func dirtyHolder(pg *Page) *Page {
+	if pg.inDirty {
+		return pg
+	}
+	for q := pg.filePrev; q != nil && q.Key.Index == pg.Key.Index; q = q.filePrev {
+		if q.inDirty {
+			return q
+		}
+	}
+	for q := pg.fileNext; q != nil && q.Key.Index == pg.Key.Index; q = q.fileNext {
+		if q.inDirty {
+			return q
+		}
+	}
+	return nil
+}
+
+// dirtyAdd gives pg the entry for its key.
+func (c *Cache) dirtyAdd(pg *Page) {
+	if h := dirtyHolder(pg); h != nil {
+		h.inDirty = false
+		pg.inDirty = true
+		return
+	}
+	pg.inDirty = true
+	c.dirtyLen++
+	fl := pg.file
+	if fl.dirty == 0 {
+		fl.dirtyPos = len(c.dirtyFiles)
+		c.dirtyFiles = append(c.dirtyFiles, fl)
+	}
+	fl.dirty++
+}
+
+// dirtyRemove drops the entry for pg's key, if any.
+func (c *Cache) dirtyRemove(pg *Page) {
+	if h := dirtyHolder(pg); h != nil {
+		c.dirtyUnmark(h)
+	}
+}
+
+// dirtyUnmark drops the entry held by h.
+func (c *Cache) dirtyUnmark(h *Page) {
+	h.inDirty = false
+	c.dirtyLen--
+	fl := h.file
+	if fl.dirty--; fl.dirty == 0 {
+		last := c.dirtyFiles[len(c.dirtyFiles)-1]
+		c.dirtyFiles[fl.dirtyPos] = last
+		last.dirtyPos = fl.dirtyPos
+		c.dirtyFiles = c.dirtyFiles[:len(c.dirtyFiles)-1]
 	}
 }
 
@@ -780,7 +850,7 @@ func (c *Cache) removePage(pg *Page, ev EventType) {
 			c.unquarantine(pg)
 		}
 		if pg.Dirty {
-			c.dirty.Delete(pg.Key)
+			c.dirtyRemove(pg)
 			pg.Dirty = false
 		}
 		c.fileRemove(pg)
@@ -801,11 +871,11 @@ func (c *Cache) MarkDirty(pg *Page, version uint64) {
 	}
 	pg.Dirty = true
 	pg.DirtyAt = c.eng.Now()
-	c.dirty.Set(pg.Key, pg)
+	c.dirtyAdd(pg)
 	c.emit(EventDirtied, pg)
 	// Dirty-background throttling: too many dirty pages wake the flusher
 	// immediately rather than waiting out the expiry interval.
-	if float64(c.dirty.Len()) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
+	if float64(c.dirtyLen) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
 		c.flusherKick.WakeAll()
 	}
 }
@@ -821,7 +891,7 @@ func (c *Cache) markCleanIf(key PageKey, version uint64) {
 		c.resetRun()
 	}
 	pg.Dirty = false
-	c.dirty.Delete(key)
+	c.dirtyRemove(pg)
 	c.emit(EventFlushed, pg)
 }
 
@@ -883,7 +953,7 @@ func (c *Cache) IterateFile(fs FSID, ino uint64, fn func(pg *Page) bool) {
 // registration scan). It snapshots keys first, so fn may mutate the cache.
 func (c *Cache) Iterate(fn func(pg *Page) bool) {
 	fks := c.files.appendKeys(make([]FileKey, 0, c.files.len()))
-	sort.Slice(fks, func(i, j int) bool { return fileKeyLess(fks[i], fks[j]) })
+	slices.SortFunc(fks, fileKeyCmp)
 	keys := make([]PageKey, 0, c.pages.len())
 	for _, fk := range fks {
 		for pg := c.files.get(fk).head; pg != nil; pg = pg.fileNext {
@@ -959,7 +1029,7 @@ func (c *Cache) flusher(p *sim.Proc) {
 			c.flusherTimer.ArmDeferred(c.cfg.WritebackInterval)
 		}
 		c.flusherKick.Wait(p, "flusher interval")
-		if float64(c.dirty.Len()) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
+		if float64(c.dirtyLen) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
 			c.flushExpired(p, 0) // over background ratio: flush regardless of age
 		} else {
 			c.flushExpired(p, c.cfg.DirtyExpire)
@@ -972,25 +1042,8 @@ func (c *Cache) flusher(p *sim.Proc) {
 // flusher wakeups allocate nothing.
 func (c *Cache) flushExpired(p *sim.Proc, minAge sim.Time) {
 	now := c.eng.Now()
-	var flushStart sim.Time
-	if c.obs != nil {
-		flushStart = now
-	}
 	b := c.getBatch()
-	c.dirty.Ascend(nil, func(k PageKey, pg *Page) bool {
-		if now-pg.DirtyAt < minAge {
-			return true
-		}
-		fk := FileKey{k.FS, k.Ino}
-		if len(b.files) == 0 || b.files[len(b.files)-1] != fk {
-			b.files = append(b.files, fk)
-			b.off = append(b.off, len(b.idx))
-		}
-		b.idx = append(b.idx, k.Index)
-		b.vers = append(b.vers, pg.Version)
-		return true
-	})
-	b.off = append(b.off, len(b.idx))
+	c.stageDirty(b, now, minAge)
 	for i, fk := range b.files {
 		be := c.backends[fk.FS]
 		if be == nil {
@@ -1009,9 +1062,42 @@ func (c *Cache) flushExpired(p *sim.Proc, minAge sim.Time) {
 		}
 	}
 	if c.obs != nil {
-		c.observeFlush(flushStart, c.eng.Now(), len(b.idx))
+		c.observeFlush(now, c.eng.Now(), len(b.idx))
 	}
 	c.putBatch(b)
+}
+
+// stageDirty fills b with the dirty set's pages at least minAge old in
+// key order: the dirty files sorted by key, each walked in index order
+// until its last dirty page.
+func (c *Cache) stageDirty(b *wbBatch, now, minAge sim.Time) {
+	for _, fl := range c.dirtyFiles {
+		b.files = append(b.files, FileKey{fl.head.Key.FS, fl.head.Key.Ino})
+	}
+	slices.SortFunc(b.files, fileKeyCmp)
+	staged := 0
+	for _, fk := range b.files {
+		lo := len(b.idx)
+		fl := c.files.get(fk)
+		for pg, left := fl.head, fl.dirty; left > 0; pg = pg.fileNext {
+			c.stats.FlushScanSteps++
+			if !pg.inDirty {
+				continue
+			}
+			left--
+			if now-pg.DirtyAt >= minAge {
+				b.idx = append(b.idx, pg.Key.Index)
+				b.vers = append(b.vers, pg.Version)
+			}
+		}
+		if len(b.idx) > lo {
+			b.files[staged] = fk
+			b.off = append(b.off, lo)
+			staged++
+		}
+	}
+	b.files = b.files[:staged]
+	b.off = append(b.off, len(b.idx))
 }
 
 // wbFailed handles the unpersisted remainder of a failed writeback
@@ -1044,10 +1130,10 @@ func (c *Cache) wbFailed(err error, fs FSID, ino uint64, idx, vers []uint64) {
 
 // quarantine parks a dirty page out of the writeback path after a
 // permanent fault. The page keeps its data and dirty bit but leaves the
-// dirty tree, so flusher and sync passes skip it.
+// dirty set, so flusher and sync passes skip it.
 func (c *Cache) quarantine(pg *Page) {
 	pg.quarantined = true
-	c.dirty.Delete(pg.Key)
+	c.dirtyRemove(pg)
 	c.quar = append(c.quar, pg.Key)
 	c.stats.QuarantineEvents++
 	if st := c.obs; st != nil && st.tr != nil {
@@ -1077,10 +1163,10 @@ func (c *Cache) DropVolatile() int {
 	for pg := c.lruHead; pg != nil; n++ {
 		next := pg.lruNext
 		c.pages.delIf(pg.Key, pg)
-		if pg.Dirty {
-			c.dirty.Delete(pg.Key)
-			pg.Dirty = false
+		if pg.inDirty {
+			c.dirtyUnmark(pg)
 		}
+		pg.Dirty = false
 		pg.quarantined = false
 		c.fileRemove(pg)
 		pg.resident = false
@@ -1105,7 +1191,7 @@ func (c *Cache) Requeue(key PageKey) bool {
 	}
 	c.unquarantine(pg)
 	pg.DirtyAt = c.eng.Now()
-	c.dirty.Set(pg.Key, pg)
+	c.dirtyAdd(pg)
 	c.stats.RequeuedPages++
 	if st := c.obs; st != nil && st.tr != nil {
 		st.tr.Instant(st.tid, "pagecache", "requeue", c.eng.Now())

@@ -3,9 +3,11 @@ package pagecache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"duet/internal/rbtree"
 	"duet/internal/sim"
 	"duet/internal/storage"
 )
@@ -598,7 +600,7 @@ func TestAdvisorDeferralsAccounting(t *testing.T) {
 // concurrent process may evict that page and re-insert the same key.
 // The raced double-eviction must re-report the removal (both parties
 // observed it) but leave the freshly inserted page fully intact — in
-// the key map, the file index, and the dirty tree — so a later SyncFile
+// the key map, the file index, and the dirty set — so a later SyncFile
 // cannot lose its data.
 func TestEvictionRaceReinsert(t *testing.T) {
 	e := sim.New(1)
@@ -763,6 +765,197 @@ func (h *victimHook) PageEvent(ev EventType, pg *Page) {
 	h.expect = nil
 }
 
+// treeMirror replays, from outside the cache, the dirty set as the
+// ordered map from key to page that the cache used to keep: one entry
+// per key, overwritten by Set and dropped by Delete whichever page holds
+// it. Each of the old call sites maps to something the mirror observes:
+//
+//	MarkDirty     Set(key, pg)            a Dirtied event
+//	markCleanIf   Delete(key)             a Flushed event
+//	removePage    Delete(key) if dirty    a Removed event for a resident page
+//	quarantine    Delete(key)             a page newly quarantined
+//	Requeue       Set(key, pg)            the model's call (requeued)
+//	DropVolatile  every entry dropped     the model's call (dropped)
+//
+// A quarantine fires no event, so the mirror looks for new quarantined
+// pages whenever the quarantine count has moved, before it applies any
+// other change and before every check: nothing can change the key's
+// entry in between.
+type treeMirror struct {
+	c        *Cache
+	tree     *rbtree.Tree[PageKey, *Page]
+	dirty    map[*Page]bool // resident pages and their dirty bits
+	quar     map[*Page]bool // pages seen quarantined
+	quarSeen int64
+	// Set and Delete calls that found another page holding the entry.
+	dupSets, dupDels int
+}
+
+func newTreeMirror(c *Cache) *treeMirror {
+	m := &treeMirror{c: c}
+	m.reset()
+	c.AddHook(m)
+	return m
+}
+
+func (m *treeMirror) reset() {
+	m.tree = rbtree.New[PageKey, *Page](func(a, b PageKey) bool {
+		if a.FS != b.FS {
+			return a.FS < b.FS
+		}
+		if a.Ino != b.Ino {
+			return a.Ino < b.Ino
+		}
+		return a.Index < b.Index
+	})
+	m.dirty = map[*Page]bool{}
+	m.quar = map[*Page]bool{}
+}
+
+func (m *treeMirror) set(pg *Page) {
+	if old, ok := m.tree.Get(pg.Key); ok && old != pg {
+		m.dupSets++
+	}
+	m.tree.Set(pg.Key, pg)
+}
+
+func (m *treeMirror) del(pg *Page) {
+	if old, ok := m.tree.Get(pg.Key); ok && old != pg {
+		m.dupDels++
+	}
+	m.tree.Delete(pg.Key)
+}
+
+func (m *treeMirror) PageEvent(ev EventType, pg *Page) {
+	m.syncQuarantine()
+	switch ev {
+	case EventAdded:
+		m.dirty[pg] = false
+	case EventDirtied:
+		m.dirty[pg] = true
+		m.set(pg)
+	case EventFlushed:
+		m.dirty[pg] = false
+		m.del(pg)
+	case EventRemoved:
+		if dirty, resident := m.dirty[pg]; resident {
+			if dirty {
+				m.del(pg)
+			}
+			delete(m.dirty, pg)
+			delete(m.quar, pg)
+		}
+	}
+}
+
+func (m *treeMirror) syncQuarantine() {
+	if m.c.stats.QuarantineEvents == m.quarSeen {
+		return
+	}
+	m.quarSeen = m.c.stats.QuarantineEvents
+	for pg := m.c.lruHead; pg != nil; pg = pg.lruNext {
+		if pg.quarantined && !m.quar[pg] {
+			m.quar[pg] = true
+			m.del(pg)
+		}
+	}
+}
+
+func (m *treeMirror) requeue(k PageKey) {
+	m.syncQuarantine()
+	if m.c.Requeue(k) {
+		pg, _ := m.c.Peek(k)
+		delete(m.quar, pg)
+		m.set(pg)
+	}
+}
+
+func (m *treeMirror) dropVolatile() {
+	m.syncQuarantine()
+	m.c.DropVolatile()
+	m.reset()
+}
+
+// stagedKey is one page a flush pass would write back.
+type stagedKey struct {
+	key     PageKey
+	version uint64
+}
+
+// check compares the cache's dirty set with the mirror: its length and
+// the pages a flush pass would stage, in order, at minAge 0 and at
+// DirtyExpire. It also checks the set's bookkeeping on the file lists.
+func (m *treeMirror) check() error {
+	m.syncQuarantine()
+	c := m.c
+	if got, want := c.DirtyLen(), m.tree.Len(); got != want {
+		return fmt.Errorf("DirtyLen = %d, tree holds %d", got, want)
+	}
+	now := c.eng.Now()
+	for _, minAge := range []sim.Time{0, c.cfg.DirtyExpire} {
+		var want []stagedKey
+		m.tree.Ascend(nil, func(k PageKey, pg *Page) bool {
+			if now-pg.DirtyAt >= minAge {
+				want = append(want, stagedKey{k, pg.Version})
+			}
+			return true
+		})
+		var b wbBatch
+		steps := c.stats.FlushScanSteps
+		c.stageDirty(&b, now, minAge)
+		c.stats.FlushScanSteps = steps
+		var got []stagedKey
+		for i, fk := range b.files {
+			if b.off[i] == b.off[i+1] {
+				return fmt.Errorf("minAge %v: file %v staged with no pages", minAge, fk)
+			}
+			for j := b.off[i]; j < b.off[i+1]; j++ {
+				got = append(got, stagedKey{PageKey{fk.FS, fk.Ino, b.idx[j]}, b.vers[j]})
+			}
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("minAge %v: flush stages %v, tree %v", minAge, got, want)
+		}
+	}
+	return checkDirtyLists(c)
+}
+
+// checkDirtyLists verifies the dirty set's bookkeeping: each file list's
+// dirty count is the number of its pages carrying inDirty, dirtyFiles
+// holds exactly the lists with a nonzero count at their dirtyPos, the
+// counts sum to dirtyLen, and every page points at its own list.
+func checkDirtyLists(c *Cache) error {
+	for i, fl := range c.dirtyFiles {
+		if fl.dirtyPos != i || fl.dirty == 0 {
+			return fmt.Errorf("dirtyFiles[%d] has dirtyPos %d, dirty %d", i, fl.dirtyPos, fl.dirty)
+		}
+	}
+	total, listed := 0, 0
+	for _, fk := range c.files.appendKeys(nil) {
+		fl := c.files.get(fk)
+		n := 0
+		for pg := fl.head; pg != nil; pg = pg.fileNext {
+			if pg.file != fl {
+				return fmt.Errorf("page %v points at another file list", pg.Key)
+			}
+			if pg.inDirty {
+				n++
+			}
+		}
+		if n != fl.dirty {
+			return fmt.Errorf("file %v: dirty %d, %d pages carry inDirty", fk, fl.dirty, n)
+		}
+		if n > 0 {
+			listed++
+		}
+		total += n
+	}
+	if total != c.dirtyLen || listed != len(c.dirtyFiles) {
+		return fmt.Errorf("dirtyLen %d over %d files, lists hold %d over %d", c.dirtyLen, len(c.dirtyFiles), total, listed)
+	}
+	return nil
+}
+
 // TestTailRunMatchesLinearScan is the model-based equivalence test for
 // the dirty tail run. Seeded random operation sequences, from three
 // processes that interleave while writebacks block, cover every way a
@@ -783,9 +976,9 @@ func TestTailRunMatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		capacity := []int{6, 40, 160, 300}[seed%4]
 		t.Run(fmt.Sprintf("seed%d-cap%d", seed, capacity), func(t *testing.T) {
-			st, maxRun := runTailRunModel(t, seed, capacity, 2000+40*capacity)
-			forced[capacity] += st.DirtyEvictions
-			longest[capacity] = max(longest[capacity], maxRun)
+			r := runCacheModel(t, seed, capacity, 2000+40*capacity, false)
+			forced[capacity] += r.stats.DirtyEvictions
+			longest[capacity] = max(longest[capacity], r.maxRun)
 		})
 	}
 	for capacity, n := range forced {
@@ -798,9 +991,69 @@ func TestTailRunMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// runTailRunModel drives one seeded model run and returns the cache's
-// stats and the longest tail run it saw.
-func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats, int) {
+// TestDirtySetMatchesTree is the model-based equivalence test for the
+// dirty set on the file lists. The operation sequences of
+// TestTailRunMatchesLinearScan, steered towards raced inserts, run
+// against a treeMirror, and after every operation the cache's DirtyLen
+// and the exact pages a flush would stage must equal the mirror's.
+// Writebacks block, so an insert blocked in reclaim is raced by another
+// insert of its key and leaves a duplicate page. The runs must reach
+// both a Set and a Delete that find the key's entry on another page of
+// the key, as well as quarantine, requeue and DropVolatile, or the test
+// proves too little. The small capacities block in reclaim most often.
+func TestDirtySetMatchesTree(t *testing.T) {
+	var dupSets, dupDels, drops int
+	var quarantined, requeued int64
+	for seed := int64(1); seed <= 64; seed++ {
+		capacity := []int{6, 12, 24, 40}[seed%4]
+		t.Run(fmt.Sprintf("seed%d-cap%d", seed, capacity), func(t *testing.T) {
+			r := runCacheModel(t, seed, capacity, 2000+40*capacity, true)
+			dupSets += r.dupSets
+			dupDels += r.dupDels
+			drops += r.drops
+			quarantined += r.stats.QuarantineEvents
+			requeued += r.stats.RequeuedPages
+		})
+	}
+	t.Logf("entry on a duplicate: %d sets, %d deletes; %d drops, %d quarantined, %d requeued",
+		dupSets, dupDels, drops, quarantined, requeued)
+	if dupSets == 0 || dupDels == 0 || drops == 0 || quarantined == 0 || requeued == 0 {
+		t.Error("a case is not covered: every count above must be nonzero")
+	}
+}
+
+// modelResult summarises one model run.
+type modelResult struct {
+	stats  Stats
+	maxRun int // longest tail run
+	// Mirror Set and Delete calls that found the entry on a duplicate.
+	dupSets, dupDels int
+	drops            int // DropVolatile calls
+}
+
+// firstAt returns the first page in k's file list at k's index: a stale
+// duplicate of k if a raced insert left one, else k's page.
+func firstAt(c *Cache, k PageKey) *Page {
+	var found *Page
+	c.IterateFile(k.FS, k.Ino, func(pg *Page) bool {
+		if pg.Key.Index == k.Index {
+			found = pg
+		}
+		return pg.Key.Index < k.Index
+	})
+	return found
+}
+
+// runCacheModel drives one seeded model run. The tail run is checked
+// against the linear scan throughout. With mirror set, the dirty set is
+// also checked against a treeMirror after every operation. Half the
+// Insert operations of a mirror run then take the key of an insert in
+// flight, so that one blocked in reclaim is raced and leaves a
+// duplicate page. Half of its MarkDirty, markCleanIf, Remove and
+// RemoveFile operations take one of those raced keys, and its MarkDirty
+// dirties the first page at the key, reaching a stale duplicate
+// through the file index.
+func runCacheModel(t *testing.T, seed int64, capacity, opsPerProc int, mirror bool) modelResult {
 	rng := rand.New(rand.NewSource(seed))
 	e := sim.New(seed)
 	cfg := DefaultConfig(capacity)
@@ -809,6 +1062,10 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 	c.RegisterFS(1, &modelBackend{rng: rng, delay: sim.Time(1+rng.Intn(3)) * sim.Millisecond})
 	vh := &victimHook{}
 	c.AddHook(vh)
+	var m *treeMirror
+	if mirror {
+		m = newTreeMirror(c)
+	}
 	const files = 6
 	span := capacity/3 + 2 // pages per file: the key space is ~2x capacity
 	randKey := func() PageKey { return key(uint64(rng.Intn(files)), uint64(rng.Intn(span))) }
@@ -818,9 +1075,16 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 			failure = fmt.Errorf("seed %d after %s: %w", seed, op, err)
 		}
 	}
+	var racing []PageKey // keys of the inserts in flight
+	var raced []PageKey  // the last keys Insert took from racing
 	// insert adds k, dirtying it in a write-heavy phase so dirty pages
 	// reach the LRU tail in runs and force dirty evictions.
 	insert := func(p *sim.Proc, k PageKey, fresh, write bool) {
+		racing = append(racing, k)
+		defer func() {
+			i := slices.Index(racing, k)
+			racing = slices.Delete(racing, i, i+1)
+		}()
 		if c.Len() >= capacity {
 			if rng.Intn(2) == 0 {
 				fail("pre-eviction check", checkVictim(c))
@@ -838,7 +1102,15 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 			c.MarkDirty(pg, pg.Version+1)
 		}
 	}
-	maxRun := 0
+	// orRaced returns k, or in a mirror run half the time one of the
+	// last raced keys.
+	orRaced := func(k PageKey) PageKey {
+		if m != nil && len(raced) > 0 && rng.Intn(2) == 0 {
+			return raced[rng.Intn(len(raced))]
+		}
+		return k
+	}
+	var r modelResult
 	write := false // a shared phase, so dirty runs reach the tail
 	procs := 3
 	for w := 0; w < procs; w++ {
@@ -856,6 +1128,13 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 				switch {
 				case op < 35:
 					name = "Insert"
+					if m != nil && len(racing) > 0 && rng.Intn(2) == 0 {
+						// A reader or a writer races the insert in flight.
+						k := racing[rng.Intn(len(racing))]
+						raced = append(raced[max(0, len(raced)-15):], k)
+						insert(p, k, false, rng.Intn(2) == 0)
+						break
+					}
 					insert(p, randKey(), false, write)
 				case op < 45:
 					name = "InsertNew"
@@ -870,12 +1149,17 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 					c.Hit(randKey())
 				case op < 79:
 					name = "MarkDirty"
-					if pg, ok := c.Peek(randKey()); ok {
+					k := orRaced(randKey())
+					pg, _ := c.Peek(k)
+					if m != nil {
+						pg = firstAt(c, k)
+					}
+					if pg != nil {
 						c.MarkDirty(pg, pg.Version+1)
 					}
 				case op < 83:
 					name = "markCleanIf"
-					if pg, ok := c.Peek(randKey()); ok {
+					if pg, ok := c.Peek(orRaced(randKey())); ok {
 						c.markCleanIf(pg.Key, pg.Version)
 					}
 				case op < 85:
@@ -890,16 +1174,21 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 					}
 				case op < 90:
 					name = "Remove"
-					c.Remove(randKey())
+					c.Remove(orRaced(randKey()))
 				case op < 91:
 					name = "RemoveFile"
 					if rng.Intn(3) == 0 {
-						c.RemoveFile(1, uint64(rng.Intn(files)))
+						c.RemoveFile(1, orRaced(key(uint64(rng.Intn(files)), 0)).Ino)
 					}
 				case op < 93:
 					name = "Requeue"
 					if q := c.Quarantined(nil); len(q) > 0 {
-						c.Requeue(q[rng.Intn(len(q))])
+						k := q[rng.Intn(len(q))]
+						if m != nil {
+							m.requeue(k)
+						} else {
+							c.Requeue(k)
+						}
 					}
 				case op < 95:
 					name = "SetAdvisor"
@@ -911,17 +1200,25 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 				case op < 96:
 					name = "DropVolatile"
 					if rng.Intn(10) == 0 {
-						c.DropVolatile()
+						r.drops++
+						if m != nil {
+							m.dropVolatile()
+						} else {
+							c.DropVolatile()
+						}
 					}
 				default:
 					name = "Sleep"
 					p.Sleep(sim.Time(rng.Intn(500)) * sim.Millisecond)
 				}
-				maxRun = max(maxRun, c.runLen)
+				r.maxRun = max(r.maxRun, c.runLen)
 				fail(name, vh.err)
 				fail(name, checkTailRun(c))
 				if rng.Intn(4) == 0 {
 					fail(name, checkVictim(c))
+				}
+				if m != nil {
+					fail(name, m.check())
 				}
 			}
 		})
@@ -941,5 +1238,9 @@ func runTailRunModel(t *testing.T, seed int64, capacity, opsPerProc int) (Stats,
 	if c.stats.Evictions == 0 {
 		t.Error("the model evicted nothing")
 	}
-	return c.stats, maxRun
+	r.stats = c.stats
+	if m != nil {
+		r.dupSets, r.dupDels = m.dupSets, m.dupDels
+	}
+	return r
 }
