@@ -44,6 +44,7 @@ func publishEngine(r *obs.Registry, e *sim.Engine) {
 	r.SetCounter("sim.procs_created", int64(e.ProcsCreated()))
 	r.SetCounter("sim.callbacks_created", int64(e.CallbacksCreated()))
 	r.SetCounter("sim.timers_scheduled", int64(e.TimersScheduled()))
+	r.SetCounter("sim.proc_resumes", int64(e.ProcResumes()))
 	r.SetCounter("sim.now_us", int64(e.Now()/sim.Microsecond))
 	ws := e.WindowStats()
 	r.SetCounter("sim.window_rounds", ws.Rounds)

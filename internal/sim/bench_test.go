@@ -5,17 +5,17 @@ import (
 	"testing"
 )
 
-// The kernel's two hot paths: the context-switch handshake (park/resume)
-// and the timer path (Sleep → heap push → pop → ready). Every simulated
-// I/O pays both, so allocs/op here multiply into every experiment.
+// The kernel's two hot paths: the proc handoff (park/resume) and the
+// timer path (Sleep → heap push → pop → ready). Every simulated I/O
+// pays both, so allocs/op here multiply into every experiment.
 // BenchmarkProcHandoff vs BenchmarkCallbackTimer is the A/B the
 // goroutine-free executor exists for: the same periodic event with and
-// without the park/resume channel handshake.
+// without the park/resume coroutine switch.
 
-// BenchmarkProcHandoff measures the goroutine-proc timer round trip:
-// one process repeatedly sleeping a positive duration, so each
-// iteration pays a heap push, a quiescent pop, and the park/resume
-// handshake (two channel operations and a goroutine switch).
+// BenchmarkProcHandoff measures the proc timer round trip: one process
+// repeatedly sleeping a positive duration, so each iteration pays a
+// heap push, a quiescent pop, and the park/resume handoff (two
+// coroutine switches, one each way).
 func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
@@ -32,8 +32,8 @@ func BenchmarkProcHandoff(b *testing.B) {
 
 // BenchmarkCallbackTimer measures the same periodic event on the
 // inline executor: a self-re-arming callback pays the heap push and
-// pop but runs on the scheduler's own goroutine — no channels, no
-// goroutine switch, no allocation. The gap to BenchmarkProcHandoff is
+// pop but runs on the scheduler's own goroutine — no coroutine switch,
+// no allocation. The gap to BenchmarkProcHandoff is
 // the per-event saving of every converted component.
 func BenchmarkCallbackTimer(b *testing.B) {
 	b.ReportAllocs()
@@ -53,7 +53,7 @@ func BenchmarkCallbackTimer(b *testing.B) {
 	}
 }
 
-// BenchmarkContextSwitch measures the pure handshake: two processes
+// BenchmarkContextSwitch measures the pure handoff: two processes
 // alternating via Yield (Sleep(0)), which exercises the run queue without
 // the timer heap.
 func BenchmarkContextSwitch(b *testing.B) {

@@ -6,7 +6,7 @@ import (
 )
 
 // TimerFunc is a callback body. It runs inline on the domain scheduler's
-// goroutine at its due (time, seq) slot — no channel handoff, no
+// goroutine at its due (time, seq) slot — no coroutine switch, no
 // park/resume, no goroutine — with the domain clock already advanced to
 // the slot time. Returning a positive duration re-arms the callback that
 // far in the future (drawing the next seq immediately, exactly where a
@@ -15,8 +15,8 @@ import (
 type TimerFunc func(now Time) Time
 
 // Callback is a goroutine-free simulated process: a handler invoked
-// inline by the scheduler instead of a parked goroutine resumed over
-// channels. It occupies the same deterministic slots a goroutine proc
+// inline by the scheduler instead of a parked coroutine it resumes.
+// It occupies the same deterministic slots a goroutine proc
 // would — armed timers consume the domain's (time, seq) order and queued
 // wakes ride the same FIFO run queue — so converting a proc that never
 // blocks mid-handler to a Callback is invisible to the simulation.

@@ -29,16 +29,16 @@ type Domain struct {
 	// for the TimersScheduled accounting (deliveries no longer consume
 	// seq values).
 	deliveries uint64
+	// resumes counts proc handoffs: every time the scheduler switched
+	// to a proc's coroutine (see resume).
+	resumes uint64
 	// horizon is the granted execution bound for the current barrier
 	// round; written serially at barriers, read by runWindow (see
 	// window.go).
 	horizon Time
 	timers  timerHeap
 	runq    procRing
-	yield   chan struct{}
-	cur     *Proc
 	procs   []*Proc // all procs ever created on this domain, in creation order
-	liveN   int
 	nextPID int
 	// cbs lists every callback registered on this domain, in creation
 	// order. Callback ids come from nextCBID, a counter disjoint from
@@ -100,7 +100,6 @@ func (d *Domain) Go(name string, fn func(*Proc)) *Proc {
 		dom:  d,
 		name: name,
 		pid:  d.nextPID,
-		wake: make(chan struct{}, 1),
 	}
 	d.nextPID++
 	d.procs = append(d.procs, p)
@@ -108,22 +107,7 @@ func (d *Domain) Go(name string, fn func(*Proc)) *Proc {
 		p.done = true
 		return p
 	}
-	d.liveN++
-	go func() {
-		<-p.wake
-		p.started = true
-		// The completion handshake runs in a defer so it fires even when
-		// the body exits via runtime.Goexit (e.g. t.Fatal inside a test
-		// process) — otherwise the scheduler would block forever.
-		defer func() {
-			p.done = true
-			d.liveN--
-			d.yield <- struct{}{}
-		}()
-		if !e.stopping {
-			runProc(p, fn)
-		}
-	}()
+	p.start(fn)
 	d.ready(p)
 	return p
 }
@@ -136,14 +120,15 @@ func (d *Domain) ready(p *Proc) {
 	d.runq.push(runnable{p: p})
 }
 
+// resume runs p until it parks or finishes. It switches straight to
+// the proc's coroutine (see coro.go) and returns when the proc hands
+// control back.
 func (d *Domain) resume(p *Proc) {
 	if p.done {
 		return
 	}
-	d.cur = p
-	p.wake <- struct{}{}
-	<-d.yield
-	d.cur = nil
+	d.resumes++
+	p.next()
 }
 
 // nextEvent returns the virtual time of the domain's earliest pending

@@ -75,6 +75,7 @@ func meshRun(t *testing.T, seed int64, nDom, workers int) string {
 			i, e.Domains()[i].Now(), e.Domains()[i].ProcsCreated(), e.Domains()[i].TimersScheduled())
 		b.WriteString(lg.String())
 	}
+	fmt.Fprintf(&b, "== proc resumes %d\n", e.ProcResumes())
 	return b.String()
 }
 

@@ -10,11 +10,12 @@ import (
 	"sync/atomic"
 )
 
-// Engine is a discrete-event scheduler. Processes (Proc) are goroutines
-// that cooperate with the engine. Every process belongs to exactly one
-// event Domain; within a domain exactly one process runs at a time and
-// the domain's virtual clock advances only when every local process is
-// blocked, so code confined to one domain needs no locking.
+// Engine is a discrete-event scheduler. Processes (Proc) are coroutines
+// that the engine resumes one at a time and that hand control back
+// whenever they block (see coro.go). Every process belongs to exactly
+// one event Domain; within a domain exactly one process runs at a time
+// and the domain's virtual clock advances only when every local process
+// is blocked, so code confined to one domain needs no locking.
 //
 // An engine with a single domain (the default) behaves exactly like the
 // classic global scheduler: one process in the whole simulation runs at
@@ -96,7 +97,7 @@ type Host interface {
 // event sequences.
 func New(seed int64) *Engine {
 	e := &Engine{seed: seed, workers: 1, deadline: maxTime}
-	e.d0 = &Domain{id: 0, name: "main", eng: e, yield: make(chan struct{})}
+	e.d0 = &Domain{id: 0, name: "main", eng: e}
 	e.domains = []*Domain{e.d0}
 	return e
 }
@@ -140,7 +141,7 @@ func (e *Engine) NewDomain(name string) *Domain {
 	if e.running {
 		panic("sim: NewDomain during Run")
 	}
-	d := &Domain{id: len(e.domains), name: name, eng: e, yield: make(chan struct{})}
+	d := &Domain{id: len(e.domains), name: name, eng: e}
 	e.domains = append(e.domains, d)
 	return d
 }
@@ -385,15 +386,18 @@ func (e *Engine) DumpWaiters() string {
 type procKilled struct{}
 
 // Proc is a simulated process. Every Proc method must be called from the
-// process's own goroutine while it is the running process of its domain.
+// process's own body while it is the running process of its domain.
 type Proc struct {
-	eng     *Engine
-	dom     *Domain
-	name    string
-	pid     int
-	wake    chan struct{}
-	done    bool
-	started bool
+	eng  *Engine
+	dom  *Domain
+	name string
+	pid  int
+	done bool
+	// next and yield are the two ends of the proc's coroutine (see
+	// coro.go): the scheduler calls next to run the body until it
+	// parks, and the body calls yield to park.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 	// Wait state is kept cheap to record: reasons are static strings and
 	// sleeps store only the wake time; DumpWaiters formats on demand, so
 	// the hot park/Sleep paths never build strings.
@@ -441,8 +445,9 @@ func runProc(p *Proc, fn func(*Proc)) {
 	fn(p)
 }
 
-// park blocks the calling process until it is made runnable again. The
-// reason must be a preformatted (ideally static) string: it is recorded
+// park hands control back to the scheduler and returns once the
+// process has been made runnable again and resumed. The reason must be
+// a preformatted (ideally static) string: it is recorded
 // unconditionally, so building it must not allocate on the hot path.
 func (p *Proc) park(reason string) {
 	d := p.dom
@@ -451,8 +456,7 @@ func (p *Proc) park(reason string) {
 	if d.tracer != nil {
 		parkAt = d.now
 	}
-	d.yield <- struct{}{}
-	<-p.wake
+	p.yield(struct{}{})
 	if t := d.tracer; t != nil {
 		// The parked interval, named by its wait reason, becomes one
 		// virtual-time slice on the process's track. Reasons are static

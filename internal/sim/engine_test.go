@@ -533,9 +533,9 @@ func TestProcRandMemoized(t *testing.T) {
 }
 
 func TestGoexitInProcDoesNotWedgeScheduler(t *testing.T) {
-	// t.Fatal inside a simulated process exits the goroutine via
-	// runtime.Goexit; the engine must still receive the completion
-	// handshake instead of blocking forever.
+	// t.Fatal inside a simulated process exits it via runtime.Goexit;
+	// the scheduler must get control back and finish the run instead
+	// of blocking forever or exiting with the proc.
 	e := New(1)
 	e.Go("fatal-ish", func(p *Proc) {
 		p.Sleep(Millisecond)
@@ -550,5 +550,134 @@ func TestGoexitInProcDoesNotWedgeScheduler(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("engine wedged after Goexit in proc")
+	}
+}
+
+// TestProcGoroutinesReleased checks that every proc coroutine's
+// goroutine is gone once Run returns, whether the proc returned, was
+// blocked at shutdown and unwound by procKilled, panicked, or spawned
+// children, and also when -dj workers resumed the coroutines. Only a
+// proc that exits via runtime.Goexit keeps one coroutine parked for
+// good: its completion yields once more instead of letting next
+// re-raise the Goexit on the scheduler (see coro.go).
+func TestProcGoroutinesReleased(t *testing.T) {
+	cases := []struct {
+		name    string
+		build   func() *Engine
+		wantErr bool
+		extra   int // goroutines allowed to outlive Run
+	}{
+		{"return", func() *Engine {
+			e := New(1)
+			for i := 0; i < 4; i++ {
+				e.Go("sleeper", func(p *Proc) { p.Sleep(Millisecond) })
+			}
+			return e
+		}, false, 0},
+		{"killed", func() *Engine {
+			e := New(1)
+			q := NewWaitQueue(e)
+			for i := 0; i < 4; i++ {
+				e.Go("waiter", func(p *Proc) { q.Wait(p, "never woken") })
+			}
+			return e
+		}, false, 0},
+		{"panic", func() *Engine {
+			e := New(1)
+			e.Go("bad", func(p *Proc) {
+				p.Sleep(Millisecond)
+				panic("kaboom")
+			})
+			e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
+			return e
+		}, true, 0},
+		{"children", func() *Engine {
+			e := New(1)
+			q := NewWaitQueue(e)
+			e.Go("parent", func(p *Proc) {
+				for i := 0; i < 4; i++ {
+					p.Go("child", func(c *Proc) {
+						c.Sleep(Millisecond)
+						c.Go("grandchild", func(g *Proc) { q.Wait(g, "never woken") })
+					})
+				}
+				p.Sleep(Millisecond)
+			})
+			return e
+		}, false, 0},
+		{"workers", func() *Engine {
+			e, _ := buildMesh(7, 3, 2)
+			return e
+		}, false, 0},
+		{"goexit", func() *Engine {
+			e := New(1)
+			e.Go("goexit", func(p *Proc) {
+				p.Sleep(Millisecond)
+				runtime.Goexit()
+			})
+			return e
+		}, false, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before, coroBefore := runtime.NumGoroutine(), coroutines()
+			e := c.build()
+			err := e.Run()
+			if (err != nil) != c.wantErr {
+				t.Fatalf("Run = %v", err)
+			}
+			// A coroutine's goroutine ends inside the switch back to its
+			// caller, so this count is exact the moment Run returns.
+			if got := coroutines() - coroBefore; got != c.extra {
+				t.Errorf("%d proc coroutines outlive Run, want %d", got, c.extra)
+			}
+			// Other goroutines (window workers, the previous subtest's)
+			// may still be on their way out, so allow them a moment and
+			// only require the total to come back down to the baseline.
+			want := before + c.extra
+			deadline := time.Now().Add(5 * time.Second)
+			got := runtime.NumGoroutine()
+			for got > want && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+				got = runtime.NumGoroutine()
+			}
+			if got > want {
+				t.Errorf("%d goroutines after Run, want at most %d (%d before)", got, want, before)
+			}
+		})
+	}
+}
+
+// coroutines counts the goroutines iter.Pull created that still exist.
+func coroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by iter.Pull[")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestProcResumesCountsHandoffs pins the handoff counter: a proc is
+// resumed once to start and once after each park, and procs never
+// started before shutdown are resumed once to unwind.
+func TestProcResumesCountsHandoffs(t *testing.T) {
+	e := New(1)
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(Millisecond)
+		}
+		p.Yield()
+		p.Go("late", func(*Proc) {})
+		e.Stop()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// sleeper: start, 3 sleeps, 1 yield; late: resumed only by shutdown.
+	if got := e.ProcResumes(); got != 6 {
+		t.Errorf("ProcResumes = %d, want 6", got)
 	}
 }

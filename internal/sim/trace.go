@@ -60,6 +60,18 @@ func (e *Engine) TimersScheduled() uint64 {
 	return n
 }
 
+// ProcResumes returns how many times a proc was resumed across all
+// domains: the proc handoffs the scheduler made. Each domain's count
+// follows from its own run queue and timers, so the total is identical
+// at any worker count.
+func (e *Engine) ProcResumes() uint64 {
+	var n uint64
+	for _, d := range e.domains {
+		n += d.resumes
+	}
+	return n
+}
+
 // traceTID lazily registers the process's trace track. Track names are
 // the process names, so processes spawned under the same name (timer
 // helpers) share a track instead of exploding the track table.
